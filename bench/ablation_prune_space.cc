@@ -3,7 +3,9 @@
 // For the TPC-D VDAG, permuting only the m=6 views with parents examines
 // 720 orderings instead of 9! = 362880 — with identical results.  This
 // bench verifies the equivalence on a smaller VDAG where the full search
-// is feasible, and times Prune's m! search on TPC-D.
+// is feasible, and times Prune's m! search on TPC-D.  It exits non-zero if
+// the two searches disagree or TPC-D's search space is not 720 orderings,
+// so ctest runs it as a shape check.
 #include <chrono>
 #include <cstdio>
 
@@ -28,6 +30,7 @@ int main() {
   bench::BenchEnv env = bench::FromEnv();
   bench::PrintHeader("Ablation: Prune search-space optimization (m! vs n!)",
                      "");
+  bool ok = true;
 
   // Part 1: equivalence on a reduced VDAG (Q3 only: n=7, m=3).
   {
@@ -54,6 +57,7 @@ int main() {
                 (long long)brute.orderings_examined, brute.work, t2 - t1);
     std::printf("    identical result: %s\n",
                 opt.work == brute.work ? "yes" : "NO (BUG)");
+    ok = ok && opt.work == brute.work;
   }
 
   // Part 2: the full TPC-D VDAG — m! = 720 (the paper's number).
@@ -67,14 +71,18 @@ int main() {
     PruneResult r = Prune(w.vdag(), w.EstimatedSizes());
     double t1 = Seconds();
     std::printf("\n  TPC-D VDAG (9 views, m=6):\n");
-    std::printf("    Prune examined %lld orderings in %.3fs "
+    std::printf("    Prune examined %lld orderings in %.2fms "
                 "(vs 362880 without the optimization)\n",
-                (long long)r.orderings_examined, t1 - t0);
+                (long long)r.orderings_examined, (t1 - t0) * 1e3);
     std::printf("    infeasible orderings (cyclic SEG): %lld\n",
                 (long long)r.orderings_infeasible);
     std::printf("    winning ordering:");
     for (const std::string& v : r.ordering) std::printf(" %s", v.c_str());
     std::printf("\n");
+    if (r.orderings_examined != 720) {
+      std::printf("    expected 720 orderings (6!): BUG\n");
+      ok = false;
+    }
   }
-  return 0;
+  return ok ? 0 : 1;
 }

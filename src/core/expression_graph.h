@@ -11,6 +11,8 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/strategy.h"
@@ -18,6 +20,49 @@
 #include "graph/vdag.h"
 
 namespace wuw {
+
+/// A dependency edge: `node` must follow `prerequisite` (Digraph::AddEdge).
+struct DependencyEdge {
+  size_t node;
+  size_t prerequisite;
+};
+
+/// What every (strong) expression graph of a VDAG shares, whatever the
+/// ordering: the nodes, the edges no ordering can change (C3, C5, C8) and
+/// the edges one "a precedes b" decision adds.  ConstructEG/ConstructSEG
+/// assemble whole graphs from it; Prune adds the precedence edges one
+/// placed view at a time.
+class ExpressionSkeleton {
+ public:
+  explicit ExpressionSkeleton(const Vdag& vdag);
+
+  /// Comps grouped per derived view (bottom-up, in source order), then one
+  /// Inst per view in registration order.
+  const std::vector<Expression>& nodes() const { return nodes_; }
+
+  /// C3: Inst(Vi) follows Comp(V, {Vi}).  C5: Inst(V) follows
+  /// Comp(V, {Vi}).  C8: Comp(V, {Vi}) follows every Comp(Vi, ...).
+  const std::vector<DependencyEdge>& base_edges() const {
+    return base_edges_;
+  }
+
+  /// Appends the edges view `a` preceding view `b` adds: for every derived
+  /// V over both, Comp(V, {b}) follows Comp(V, {a}) and Inst(a) (C4).  With
+  /// `strong`, Inst(b) also follows Inst(a).
+  void AppendPrecedenceEdges(const std::string& a, const std::string& b,
+                             bool strong,
+                             std::vector<DependencyEdge>* out) const;
+
+ private:
+  size_t InstNode(const std::string& view) const;
+
+  std::vector<Expression> nodes_;
+  std::vector<DependencyEdge> base_edges_;
+  std::unordered_map<std::string, size_t> inst_node_;
+  /// Per view Vi: (V, Comp(V, {Vi})) for each derived V over Vi.
+  std::unordered_map<std::string, std::vector<std::pair<std::string, size_t>>>
+      comps_over_;
+};
 
 /// An expression graph over a VDAG, with the dependency edges of
 /// ConstructEG (Algorithm A.1) or ConstructSEG.
@@ -53,8 +98,6 @@ class ExpressionGraph {
  private:
   ExpressionGraph(const Vdag& vdag, const std::vector<std::string>& ordering,
                   bool strong);
-
-  int NodeId(const Expression& e) const;
 
   std::vector<Expression> nodes_;
   Digraph graph_{0};

@@ -6,6 +6,13 @@
 // sort of each ordering's strong expression graph covers the whole space.
 // The m! optimization permutes only views that have parents — the install
 // position of a view nothing is defined over never affects work.
+//
+// The orderings are searched as prefixes in lexicographic order: a prefix
+// whose fixed precedences already make the SEG cyclic is skipped with all
+// its completions, and a feasible ordering's work is summed in closed form
+// from the pairs it orders (prune.cc).  Only the winner is materialized as
+// ConstructSEG(...).TopologicalStrategy() and costed by
+// EstimateStrategyWork.
 #ifndef WUW_CORE_PRUNE_H_
 #define WUW_CORE_PRUNE_H_
 
@@ -38,12 +45,14 @@ struct PruneResult {
   double work = 0;
   /// The view ordering the winning strategy is strongly consistent with.
   std::vector<std::string> ordering;
-  /// Orderings examined / rejected because their SEG was cyclic.
+  /// Orderings examined / rejected because their SEG was cyclic; an
+  /// infeasible prefix counts all of its completions.
   int64_t orderings_examined = 0;
   int64_t orderings_infeasible = 0;
 };
 
-/// Runs Prune.  The VDAG must have at least one derived view.
+/// Runs Prune.  The VDAG must have at least one derived view and at most
+/// 20 permutable views.
 PruneResult Prune(const Vdag& vdag, const SizeMap& sizes,
                   const PruneOptions& options = {});
 

@@ -133,10 +133,7 @@ void Rows::SetCachedCardinalities(int64_t signed_card, int64_t abs_card) const {
 
 Rows Rows::FromTable(const Table& table) {
   Rows out(table.schema());
-  out.rows.reserve(table.distinct_size());
-  table.ForEach([&](const Tuple& t, int64_t c) {
-    out.rows.emplace_back(t, c);
-  });
+  out.rows = table.dense_rows();  // one vector copy; COW tuples only bump refs
   // Table multiplicities are strictly positive, so both cardinalities equal
   // |V| — and the table's cached columnar snapshot transfers as-is.
   out.SetCachedCardinalities(table.cardinality(), table.cardinality());

@@ -8,29 +8,6 @@
 
 namespace wuw {
 
-namespace {
-
-/// Morsel-parallel table snapshot: morsels copy disjoint windows of the
-/// dense row storage straight into the pre-sized output, so the result is
-/// identical to Rows::FromTable (same order, COW tuple copies only bump
-/// refcounts).
-Rows ScanTable(const Table& table, ThreadPool* pool,
-               const CancelToken* cancel) {
-  const auto& dense = table.dense_rows();
-  if (!ShouldParallelize(pool, dense.size())) return Rows::FromTable(table);
-  Rows out(table.schema());
-  out.rows.resize(dense.size());
-  pool->ParallelFor(
-      dense.size(), kMorselRows,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) out.rows[i] = dense[i];
-      },
-      cancel);
-  return out;
-}
-
-}  // namespace
-
 PlanExecutor::PlanExecutor(const PlanDag& dag, SubplanCache* cache,
                            ThreadPool* pool, const CancelToken* cancel)
     : dag_(dag), cache_(cache), pool_(pool), cancel_(cancel),
@@ -96,8 +73,10 @@ std::shared_ptr<const Rows> PlanExecutor::Eval(PlanNodeId id,
     WUW_METRIC_ADD("plan.nodes_executed", obs::MetricClass::kEngine, 1);
     switch (n.kind) {
       case PlanNodeKind::kScanTable:
-        result =
-            std::make_shared<const Rows>(ScanTable(*n.table, pool_, cancel_));
+        // Never fanned out: copying COW tuple handles is cheaper than a
+        // fork-join region, and FromTable carries the table's columnar
+        // snapshot and cardinalities along.
+        result = std::make_shared<const Rows>(Rows::FromTable(*n.table));
         break;
       case PlanNodeKind::kScanDelta:
         result = std::make_shared<const Rows>(n.delta->ToRows());

@@ -164,11 +164,16 @@ int64_t Table::Add(const Tuple& tuple, int64_t count) {
   if (count == 0) return Count(tuple);
   size_t hash = tuple.Hash();
   size_t pos = FindPosition(tuple, hash);
+  if (pos == SIZE_MAX && count < 0) {
+    // Clamp: deleting an absent tuple changes nothing, so the columnar
+    // cache and the mutation count (the pager's staleness check) stay.
+    WUW_METRIC_ADD("table.clamped_deletes", obs::MetricClass::kWork, 1);
+    return 0;
+  }
   snapshot_stale_ = true;
   ++mutation_count_;
 
   if (pos == SIZE_MAX) {
-    if (count <= 0) return 0;  // clamp: deleting an absent tuple is a no-op
     WUW_CHECK(rows_.size() < kIndexTombstone, "table too large for row index");
     IndexInsert(hash, static_cast<uint32_t>(rows_.size()));
     rows_.emplace_back(tuple, count);
@@ -177,6 +182,9 @@ int64_t Table::Add(const Tuple& tuple, int64_t count) {
   }
 
   int64_t next = rows_[pos].second + count;
+  if (next < 0) {
+    WUW_METRIC_ADD("table.clamped_deletes", obs::MetricClass::kWork, 1);
+  }
   if (next > 0) {
     cardinality_ += next - rows_[pos].second;
     rows_[pos].second = next;

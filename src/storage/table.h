@@ -59,9 +59,12 @@ class Table {
   bool empty() const { return cardinality_ == 0; }
 
   /// Adds `count` copies of `tuple` (count may be negative; the stored
-  /// multiplicity is clamped at zero — a warning-free model of installing a
-  /// deletion for a tuple that is absent, which correct strategies never
-  /// produce but tests exercise).  Returns the resulting multiplicity.
+  /// multiplicity is clamped at zero — a model of installing a deletion for
+  /// a tuple that is absent, which correct strategies never produce but
+  /// tests exercise).  Every clamp adds 1 to the kWork counter
+  /// `table.clamped_deletes`; deleting an absent tuple leaves the table,
+  /// its columnar cache and mutation_count() untouched.  Returns the
+  /// resulting multiplicity.
   int64_t Add(const Tuple& tuple, int64_t count);
 
   /// Multiplicity of `tuple` (0 if absent).
@@ -95,7 +98,7 @@ class Table {
   /// Heap bytes held by the hash index (the micro_engine memory line).
   size_t IndexBytes() const;
 
-  /// Monotone count of mutating calls (Add with a non-zero effect window,
+  /// Monotone count of mutating calls (an Add that changes the contents,
   /// Clear).  Copies inherit the count, so a copy-on-write detach preserves
   /// continuity — the snapshot-audit in exec/warehouse.cc compares it
   /// against extent_version across publishes to catch unbumped mutations.

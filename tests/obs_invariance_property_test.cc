@@ -131,6 +131,20 @@ std::vector<Scenario> MakeScenarios(uint64_t seed) {
   return out;
 }
 
+/// A three-source star over base extents of 3x to 6.75x kMinParallelRows
+/// live rows, so at pool sizes > 1 every scan, kernel and join over them
+/// crosses the morsel gate — the 40-50-row scenarios above never do.
+/// Three sources make successive Comps scan the not-yet-installed sources
+/// in the same state, which is where a scan that drops the table's cached
+/// columnar image shows: each rescan rebuilds it.
+Scenario MakeMorselScenario(uint64_t seed) {
+  // FillTriple skips every 7th key: 7/2 x kMinParallelRows keys leave
+  // 3 x kMinParallelRows rows in the smallest extent.
+  const int64_t base_rows = static_cast<int64_t>(kMinParallelRows) * 7 / 2;
+  return MakeScenario("star_agg_morsel", testutil::MakeStarVdag("V", 3, true),
+                      base_rows, 0.05, 64, seed);
+}
+
 class ObsInvarianceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -183,11 +197,15 @@ TEST_F(ObsInvarianceTest, WorkCountersInvariantAcrossThreadsAndBudgets) {
 // kWork|kEngine (the deterministic mask WUW_METRICS dumps): identical
 // across pool sizes at each fixed cache configuration under the
 // sequential executor.  This is the exact guarantee CI's armed double-run
-// diff relies on.
+// diff relies on.  The morsel scenario holds the parallel kernel branches
+// to it: each must hand downstream the same columnar image as its
+// sequential twin, or engine.vec.conversions grows with the pool.
 TEST_F(ObsInvarianceTest, DeterministicMaskThreadInvariantAtFixedBudget) {
   const uint64_t seed = testutil::PropertySeed(73);
   SCOPED_TRACE(testutil::SeedTrace(seed));
-  for (Scenario& sc : MakeScenarios(seed)) {
+  std::vector<Scenario> scenarios = MakeScenarios(seed);
+  scenarios.push_back(MakeMorselScenario(seed + 5));
+  for (Scenario& sc : scenarios) {
     for (const auto& [strategy_name, strategy] : sc.strategies) {
       for (Budget budget : kBudgets) {
         MetricsSnapshot baseline =

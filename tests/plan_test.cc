@@ -3,10 +3,12 @@
 // result reuse.
 #include <gtest/gtest.h>
 
+#include "parallel/thread_pool.h"
 #include "plan/plan_executor.h"
 #include "plan/plan_node.h"
 #include "plan/subplan_cache.h"
 #include "stats/plan_cardinality.h"
+#include "storage/column_table.h"
 #include "test_util.h"
 #include "view/join_pipeline.h"
 
@@ -186,6 +188,28 @@ TEST(PlanExecutorTest, MatchesEagerOperatorsWithoutCache) {
 
   EXPECT_TRUE(ToTable(eager).ContentsEqual(ToTable(*out)));
   EXPECT_EQ(eager_stats, plan_stats);
+}
+
+// A table scan big enough for the morsel gate still hands downstream the
+// table's own columnar snapshot and cardinalities: a scan that dropped them
+// made every vectorized consumer rebuild the columns (a pool-size-dependent
+// engine.vec.conversions count and a slower multi-thread window).
+TEST(PlanExecutorTest, LargeTableScanKeepsColumnarSnapshotOnPool) {
+  Table a = MakeTriple("A", static_cast<int64_t>(2 * kMinParallelRows), 1);
+  ASSERT_GE(a.distinct_size(), kMinParallelRows);
+  std::shared_ptr<const ColumnTable> snapshot = a.ColumnarSnapshot();
+  ASSERT_NE(snapshot, nullptr);
+
+  PlanDag dag;
+  PlanNodeId root = dag.InternTableScan("A", a, 0, 0);
+  ThreadPool pool(2);
+  PlanExecutor exec(dag, /*cache=*/nullptr, &pool);
+  std::shared_ptr<const Rows> out = exec.Execute(root, nullptr);
+
+  // Read the cache slots before any accessor could fill them lazily.
+  EXPECT_EQ(out->signed_card_.load(), a.cardinality());
+  EXPECT_EQ(out->abs_card_.load(), a.cardinality());
+  EXPECT_EQ(out->Columnar().get(), snapshot.get());
 }
 
 TEST(PlanExecutorTest, CacheHitSkipsRecomputation) {

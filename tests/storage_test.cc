@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "storage/catalog.h"
+#include "storage/column_table.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/tuple.h"
@@ -128,6 +130,37 @@ TEST(TableTest, NegativeCountClampsToZero) {
   t.Add(row, 2);
   EXPECT_EQ(t.Add(row, -5), 0);  // over-delete clamps
   EXPECT_EQ(t.cardinality(), 0);
+}
+
+// Deleting an absent tuple changes nothing: the columnar cache survives,
+// mutation_count() (the pager's image-staleness check) stays put, and the
+// clamp is counted instead of silently absorbed.
+TEST(TableTest, ClampedDeleteOfAbsentTupleIsCountedNotAMutation) {
+  const bool was_armed = obs::MetricsArmed();
+  obs::ArmMetrics();
+  obs::Counter* clamped =
+      obs::GetCounter("table.clamped_deletes", obs::MetricClass::kWork);
+
+  Table t(Schema({{"x", TypeId::kInt64}}));
+  t.Add(Tuple({Value::Int64(1)}), 2);
+  std::shared_ptr<const ColumnTable> before = t.ColumnarSnapshot();
+  ASSERT_NE(before, nullptr);
+  const int64_t mutations = t.mutation_count();
+  const int64_t clamps = clamped->value();
+
+  EXPECT_EQ(t.Add(Tuple({Value::Int64(9)}), -3), 0);
+  EXPECT_EQ(t.mutation_count(), mutations);
+  EXPECT_EQ(t.ColumnarSnapshot(), before);
+  EXPECT_EQ(t.cardinality(), 2);
+  EXPECT_EQ(clamped->value(), clamps + 1);
+
+  // An over-delete of a present tuple is a real removal that also clamps.
+  EXPECT_EQ(t.Add(Tuple({Value::Int64(1)}), -5), 0);
+  EXPECT_EQ(t.mutation_count(), mutations + 1);
+  EXPECT_NE(t.ColumnarSnapshot(), before);
+  EXPECT_EQ(clamped->value(), clamps + 2);
+
+  if (!was_armed) obs::DisarmMetrics();
 }
 
 TEST(TableTest, ContentsEqualIgnoresInsertionOrder) {

@@ -5,18 +5,22 @@
 // EnablePaging — costs nothing measurable: the kernels' spill gate is one
 // relaxed atomic load and the catalog accessor hook is one null pointer
 // test.  The armed-but-resident hook (a mutex + hash lookup + clock
-// stamp, paid per executor touch, never per row) and the full
+// stamp, paid per executor touch, never per row), the full
 // hibernate/fault-in image roundtrip — the expensive-but-budget-bound
-// half of the seam — are measured alongside so regressions stay visible.
+// half of the seam — and the grace-partition join next to the resident
+// join are measured alongside so regressions stay visible.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
 
+#include "algebra/hash_join.h"
+#include "algebra/rows.h"
 #include "exec/warehouse.h"
 #include "storage/page.h"
 #include "storage/paged_store.h"
 #include "tpcd/change_generator.h"
+#include "tpcd/tpcd_schema.h"
 #include "tpcd/tpcd_views.h"
 
 namespace wuw {
@@ -124,6 +128,41 @@ void BM_SaveLoadTableImage(benchmark::State& state) {
   state.SetItemsProcessed(rows);
 }
 BENCHMARK(BM_SaveLoadTableImage)->Unit(benchmark::kMicrosecond);
+
+// ORDERS ⋈ LINEITEM on the order key, LINEITEM the build side.
+void RunOrdersLineitemJoin(benchmark::State& state) {
+  Warehouse& w = DisarmedWarehouse();
+  const Rows orders =
+      Rows::FromTable(*w.catalog().MustGetTable(tpcd::kOrders));
+  const Rows lineitem =
+      Rows::FromTable(*w.catalog().MustGetTable(tpcd::kLineitem));
+  const JoinKeys keys{{"o_orderkey"}, {"l_orderkey"}};
+  int64_t rows = 0;
+  for (auto _ : state) {
+    Rows out = HashJoin(orders, lineitem, keys, nullptr);
+    benchmark::DoNotOptimize(out.rows.data());
+    rows += static_cast<int64_t>(orders.rows.size() + lineitem.rows.size());
+  }
+  state.SetItemsProcessed(rows);
+}
+
+// The resident join (columnar kernel by default)...
+void BM_GraceJoinDisarmed(benchmark::State& state) {
+  RunOrdersLineitemJoin(state);
+}
+BENCHMARK(BM_GraceJoinDisarmed)->Unit(benchmark::kMicrosecond);
+
+// ...and the same join with operator spills armed and the build side far
+// above the threshold: row ids partition in memory and one partition's
+// hash table is built and probed at a time.
+void BM_GraceJoinArmed(benchmark::State& state) {
+  paged::PagedOptions options;
+  options.budget_bytes = 1 << 20;
+  options.spill_bytes = 1 << 10;
+  paged::ScopedOperatorSpill spill(options);
+  RunOrdersLineitemJoin(state);
+}
+BENCHMARK(BM_GraceJoinArmed)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace wuw

@@ -1,30 +1,20 @@
 #include "algebra/hash_join.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdlib>
 
+#include "algebra/hash_partition.h"
 #include "algebra/key_util.h"
-#include "algebra/spill_util.h"
 #include "algebra/vectorized.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "parallel/thread_pool.h"
-#include "storage/paged_store.h"
 
 namespace wuw {
 
 namespace {
 
-/// Radix partitions for the parallel build: keys partition by the TOP hash
-/// bits (bucket chains inside a partition use the bottom bits, so the two
-/// never alias).  Equal keys hash equally and therefore land in the same
-/// partition, which is what makes per-partition builds race-free without
-/// any shared-state writes.
+/// Radix partitions for the parallel build (algebra/hash_partition.h).
 constexpr size_t kJoinPartitionBits = 6;
-constexpr size_t kJoinPartitions = size_t{1} << kJoinPartitionBits;
-constexpr size_t kJoinPartitionShift =
-    sizeof(size_t) * 8 - kJoinPartitionBits;
 
 /// One partition's flat chained hash table.  `ids[j]` maps the local slot j
 /// back to the global build-row index; chains link local slots.
@@ -33,16 +23,75 @@ struct JoinPartition {
   std::vector<int32_t> heads;
   std::vector<int32_t> chain;
   size_t mask = 0;
+
+  /// Chains `part_ids` (ascending) by head insertion, so a probe walks
+  /// matching rows in DESCENDING global index — exactly the order the
+  /// sequential single-table chain yields for the same key (rows of one
+  /// key share one full hash, hence one partition and one bucket in both
+  /// layouts, and both probes skip non-matching hashes).
+  void Build(std::vector<uint32_t> part_ids,
+             const std::vector<size_t>& hashes) {
+    ids = std::move(part_ids);
+    const size_t m = ids.size();
+    if (m == 0) return;
+    size_t nbuckets = 16;
+    while (nbuckets < m * 2) nbuckets <<= 1;
+    mask = nbuckets - 1;
+    heads.assign(nbuckets, -1);
+    chain.resize(m);
+    for (size_t j = 0; j < m; ++j) {
+      size_t h = hashes[ids[j]];
+      chain[j] = heads[h & mask];
+      heads[h & mask] = static_cast<int32_t>(j);
+    }
+  }
 };
 
+/// The operands every probe reads: both inputs, their key columns, and the
+/// build side's stored key hashes.
+struct JoinInputs {
+  const Rows& left;
+  const Rows& right;
+  const std::vector<size_t>& left_idx;
+  const std::vector<size_t>& right_idx;
+  const std::vector<size_t>& right_hashes;
+};
+
+/// Appends the matches of probe row `i` (key hash `h`) in `part` to `out`,
+/// in descending build order.  Adds |produced multiplicity| to
+/// `rows_produced` and every hash-equal candidate to `key_cmps`.
+void ProbeRow(const JoinInputs& in, size_t i, size_t h,
+              const JoinPartition& part,
+              std::vector<std::pair<Tuple, int64_t>>* out,
+              int64_t* rows_produced, int64_t* key_cmps) {
+  if (part.heads.empty()) return;
+  const auto& [ltuple, lcount] = in.left.rows[i];
+  for (int32_t j = part.heads[h & part.mask]; j >= 0; j = part.chain[j]) {
+    uint32_t r = part.ids[j];
+    if (in.right_hashes[r] != h) continue;
+    ++*key_cmps;
+    const auto& [rtuple, rcount] = in.right.rows[r];
+    if (!KeysEqual(ltuple, in.left_idx, rtuple, in.right_idx)) continue;
+    if (lcount * rcount != 0) {
+      out->emplace_back(Tuple::Concat(ltuple, rtuple), lcount * rcount);
+    }
+    *rows_produced += std::llabs(lcount * rcount);
+  }
+}
+
+/// Scan and probe totals both partitioned paths charge up front; they
+/// equal the sequential kernel's per-row sums.
+void ChargeInputs(const Rows& left, const Rows& right, OperatorStats* stats) {
+  if (stats == nullptr) return;
+  stats->rows_scanned += right.AbsCardinality() + left.AbsCardinality();
+  stats->hash_build_rows += static_cast<int64_t>(right.rows.size());
+  stats->hash_probes += static_cast<int64_t>(left.rows.size());
+}
+
 /// Morsel-parallel join.  Determinism argument, step by step:
-///  - partition row-id lists are written morsel-block by morsel-block in
-///    morsel order, so each partition's ids ascend in global row order;
-///  - each partition's chain is built over ascending ids, so a probe walks
-///    matching rows in DESCENDING global index — exactly the order the
-///    sequential single-table chain yields for the same key (rows of one
-///    key share one full hash, hence one partition and one bucket in both
-///    layouts, and both probes skip non-matching hashes);
+///  - every partition's build ids ascend in global row order
+///    (hash_partition.h), so each chain reproduces the sequential chain's
+///    match order (JoinPartition::Build);
 ///  - probe morsels buffer output locally and merge in morsel order, which
 ///    reproduces the sequential probe's row order byte for byte.
 Rows ParallelHashJoin(const Rows& left, const Rows& right,
@@ -50,101 +99,28 @@ Rows ParallelHashJoin(const Rows& left, const Rows& right,
                       const std::vector<size_t>& right_idx,
                       OperatorStats* stats, ThreadPool* pool,
                       const CancelToken* cancel) {
-  const size_t n = right.rows.size();
-  const size_t build_morsels = (n + kMorselRows - 1) / kMorselRows;
-
-  // Pass 1: hash every build row, count per-(morsel, partition).
-  std::vector<size_t> hashes(n);
-  std::vector<uint32_t> counts(build_morsels * kJoinPartitions, 0);
-  std::vector<int64_t> scanned(build_morsels, 0);
-  pool->ParallelFor(n, kMorselRows, [&](size_t begin, size_t end) {
-    size_t m = begin / kMorselRows;
-    uint32_t* cnt = &counts[m * kJoinPartitions];
-    int64_t sc = 0;
-    for (size_t i = begin; i < end; ++i) {
-      sc += std::llabs(right.rows[i].second);
-      size_t h = KeyHash(right.rows[i].first, right_idx);
-      hashes[i] = h;
-      ++cnt[h >> kJoinPartitionShift];
-    }
-    scanned[m] = sc;
-  }, cancel);
-  if (stats != nullptr) {
-    for (int64_t sc : scanned) stats->rows_scanned += sc;
-    stats->hash_build_rows += static_cast<int64_t>(n);
-  }
-
-  // Exclusive prefix over morsels, per partition: each morsel's scatter
-  // window into its partition.  Concatenating windows in morsel order keeps
-  // every partition's ids ascending in global row order.
-  std::vector<JoinPartition> parts(kJoinPartitions);
-  std::vector<uint32_t> offsets(build_morsels * kJoinPartitions);
-  for (size_t p = 0; p < kJoinPartitions; ++p) {
-    uint32_t run = 0;
-    for (size_t m = 0; m < build_morsels; ++m) {
-      offsets[m * kJoinPartitions + p] = run;
-      run += counts[m * kJoinPartitions + p];
-    }
-    parts[p].ids.resize(run);
-  }
-  pool->ParallelFor(n, kMorselRows, [&](size_t begin, size_t end) {
-    size_t m = begin / kMorselRows;
-    std::array<uint32_t, kJoinPartitions> cursor;
-    for (size_t p = 0; p < kJoinPartitions; ++p) {
-      cursor[p] = offsets[m * kJoinPartitions + p];
-    }
-    for (size_t i = begin; i < end; ++i) {
-      size_t p = hashes[i] >> kJoinPartitionShift;
-      parts[p].ids[cursor[p]++] = static_cast<uint32_t>(i);
-    }
-  }, cancel);
-
+  HashPartitions build =
+      PartitionRowIds(right, right_idx, kJoinPartitionBits, pool, cancel);
   // Per-partition build: no writes escape the partition.
-  pool->ParallelTasks(kJoinPartitions, /*max_workers=*/0, [&](size_t p) {
-    JoinPartition& part = parts[p];
-    const size_t m = part.ids.size();
-    if (m == 0) return;
-    size_t nbuckets = 16;
-    while (nbuckets < m * 2) nbuckets <<= 1;
-    part.mask = nbuckets - 1;
-    part.heads.assign(nbuckets, -1);
-    part.chain.resize(m);
-    for (size_t j = 0; j < m; ++j) {
-      size_t h = hashes[part.ids[j]];
-      part.chain[j] = part.heads[h & part.mask];
-      part.heads[h & part.mask] = static_cast<int32_t>(j);
-    }
+  std::vector<JoinPartition> parts(build.ids.size());
+  pool->ParallelTasks(parts.size(), /*max_workers=*/0, [&](size_t p) {
+    parts[p].Build(std::move(build.ids[p]), build.hashes);
   }, cancel);
 
   // Morsel-parallel probe with per-morsel buffers.
+  const JoinInputs in{left, right, left_idx, right_idx, build.hashes};
   const size_t ln = left.rows.size();
   const size_t probe_morsels = (ln + kMorselRows - 1) / kMorselRows;
   std::vector<std::vector<std::pair<Tuple, int64_t>>> buffers(probe_morsels);
-  std::vector<OperatorStats> partial(probe_morsels);
+  std::vector<int64_t> produced(probe_morsels, 0);
   pool->ParallelFor(ln, kMorselRows, [&](size_t begin, size_t end) {
     size_t m = begin / kMorselRows;
-    std::vector<std::pair<Tuple, int64_t>>& buf = buffers[m];
-    OperatorStats& ps = partial[m];
-    buf.reserve(end - begin);
+    buffers[m].reserve(end - begin);
     int64_t key_cmps = 0;
     for (size_t i = begin; i < end; ++i) {
-      const auto& [ltuple, lcount] = left.rows[i];
-      ps.rows_scanned += std::llabs(lcount);
-      ps.hash_probes += 1;
-      size_t h = KeyHash(ltuple, left_idx);
-      const JoinPartition& part = parts[h >> kJoinPartitionShift];
-      if (part.heads.empty()) continue;
-      for (int32_t j = part.heads[h & part.mask]; j >= 0; j = part.chain[j]) {
-        uint32_t r = part.ids[j];
-        if (hashes[r] != h) continue;
-        ++key_cmps;
-        const auto& [rtuple, rcount] = right.rows[r];
-        if (!KeysEqual(ltuple, left_idx, rtuple, right_idx)) continue;
-        if (lcount * rcount != 0) {
-          buf.emplace_back(Tuple::Concat(ltuple, rtuple), lcount * rcount);
-        }
-        ps.rows_produced += std::llabs(lcount * rcount);
-      }
+      size_t h = KeyHash(left.rows[i].first, left_idx);
+      ProbeRow(in, i, h, parts[build.PartitionOf(h)], &buffers[m],
+               &produced[m], &key_cmps);
     }
     // Candidate sets are hash-equal pairs, identical in the sequential
     // layout, so this total is pool-invariant.
@@ -160,116 +136,78 @@ Rows ParallelHashJoin(const Rows& left, const Rows& right,
     out.rows.insert(out.rows.end(), std::make_move_iterator(buf.begin()),
                     std::make_move_iterator(buf.end()));
   }
+  ChargeInputs(left, right, stats);
   if (stats != nullptr) {
-    for (const OperatorStats& ps : partial) *stats += ps;
+    for (int64_t p : produced) stats->rows_produced += p;
   }
   return out;
 }
 
-/// WUW_MEM_MB grace join: both sides partition by the TOP hash bits into a
-/// page-backed spill (algebra/spill_util.h), then each partition builds and
-/// probes independently — operator memory is bounded by one partition plus
-/// the spill pool's budget instead of the whole build side.  Determinism
-/// argument: a probe row's matches all live in its own partition (equal
-/// keys share a full hash, hence a partition); within a partition probes
-/// run in ascending global order and each walks its chain in descending
-/// build order (head insertion over ascending spill order) — precisely the
-/// sequential kernel's nesting — so a stable sort of the output on
-/// probe-row index reproduces the sequential row order byte for byte.
+/// WUW_MEM_MB grace join: both sides' row ids partition by the TOP hash
+/// bits (algebra/hash_partition.h), then each partition builds and probes
+/// on its own — one partition's hash table is live at a time instead of
+/// the whole build side's, and no tuple is copied.  Determinism argument:
+/// a probe row's matches all live in its own partition (equal keys share a
+/// full hash, hence a partition) and its chain walks them in the
+/// sequential kernel's order (JoinPartition::Build).  Within a partition
+/// probe rows run in ascending order, so each partition's output is one
+/// run per probe row in probe order; replaying the runs in global probe
+/// order reproduces the sequential row order byte for byte.
 Rows GraceHashJoin(const Rows& left, const Rows& right,
                    const std::vector<size_t>& left_idx,
                    const std::vector<size_t>& right_idx, OperatorStats* stats,
-                   const paged::PagedOptions& options) {
-  const size_t nparts = options.partitions;
-  size_t bits = 0;
-  while ((size_t{1} << bits) < nparts) ++bits;
-  const size_t shift = sizeof(size_t) * 8 - bits;
-  auto part_of = [&](size_t h) { return bits == 0 ? size_t{0} : h >> shift; };
-
+                   size_t bits, ThreadPool* pool, const CancelToken* cancel) {
   // Same per-row hashing totals as the resident row kernel.
   WUW_METRIC_ADD(
       "engine.row.value_hashes", obs::MetricClass::kEngine,
       static_cast<int64_t>((left.rows.size() + right.rows.size()) *
                            left_idx.size()));
+  ThreadPool* scatter_pool =
+      ShouldParallelize(pool, left.rows.size() + right.rows.size()) ? pool
+                                                                   : nullptr;
+  HashPartitions build =
+      PartitionRowIds(right, right_idx, bits, scatter_pool, cancel);
+  HashPartitions probe =
+      PartitionRowIds(left, left_idx, bits, scatter_pool, cancel);
+  NoteGracePartitions(build.NonEmpty() + probe.NonEmpty());
 
-  // Build partitions occupy [0, nparts), probe partitions
-  // [nparts, 2*nparts) of one shared spill file; stat totals are charged
-  // during the spill passes exactly as the sequential kernel charges them.
-  spill::PartitionedSpill spilled(options, nparts * 2);
-  for (size_t i = 0; i < right.rows.size(); ++i) {
-    const auto& [tuple, count] = right.rows[i];
-    if (stats != nullptr) {
-      stats->rows_scanned += std::llabs(count);
-      stats->hash_build_rows += 1;
-    }
-    size_t h = KeyHash(tuple, right_idx);
-    spilled.Append(part_of(h), static_cast<uint32_t>(i), h, count, tuple);
-  }
-  for (size_t i = 0; i < left.rows.size(); ++i) {
-    const auto& [tuple, count] = left.rows[i];
-    if (stats != nullptr) {
-      stats->rows_scanned += std::llabs(count);
-      stats->hash_probes += 1;
-    }
-    size_t h = KeyHash(tuple, left_idx);
-    spilled.Append(nparts + part_of(h), static_cast<uint32_t>(i), h, count,
-                   tuple);
-  }
-  spilled.Finish();
-
-  struct OutRow {
-    uint32_t probe_idx;
-    Tuple tuple;
-    int64_t count;
-  };
-  std::vector<OutRow> produced;
-  int64_t key_cmps = 0;
+  const JoinInputs in{left, right, left_idx, right_idx, build.hashes};
+  const size_t nparts = build.ids.size();
+  std::vector<std::vector<std::pair<Tuple, int64_t>>> produced(nparts);
+  std::vector<uint32_t> run(left.rows.size(), 0);  // output rows per probe
   int64_t rows_produced = 0;
+  int64_t key_cmps = 0;
   for (size_t p = 0; p < nparts; ++p) {
-    std::vector<spill::SpillRecord> build = spilled.ReadPartition(p);
-    std::vector<spill::SpillRecord> probe =
-        spilled.ReadPartition(nparts + p);
-    if (probe.empty()) continue;
-    const size_t m = build.size();
-    size_t nbuckets = 16;
-    while (nbuckets < m * 2) nbuckets <<= 1;
-    const size_t mask = nbuckets - 1;
-    std::vector<int32_t> heads(nbuckets, -1);
-    std::vector<int32_t> chain(m);
-    for (size_t j = 0; j < m; ++j) {
-      chain[j] = heads[build[j].hash & mask];
-      heads[build[j].hash & mask] = static_cast<int32_t>(j);
-    }
-    for (const spill::SpillRecord& pr : probe) {
-      for (int32_t j = heads[pr.hash & mask]; j >= 0; j = chain[j]) {
-        const spill::SpillRecord& br = build[static_cast<size_t>(j)];
-        if (br.hash != pr.hash) continue;
-        ++key_cmps;
-        if (!KeysEqual(pr.tuple, left_idx, br.tuple, right_idx)) continue;
-        if (pr.count * br.count != 0) {
-          produced.push_back(OutRow{pr.idx,
-                                    Tuple::Concat(pr.tuple, br.tuple),
-                                    pr.count * br.count});
-        }
-        rows_produced += std::llabs(pr.count * br.count);
-      }
+    if (probe.ids[p].empty()) continue;
+    JoinPartition part;
+    part.Build(std::move(build.ids[p]), build.hashes);
+    for (uint32_t i : probe.ids[p]) {
+      const size_t before = produced[p].size();
+      ProbeRow(in, i, probe.hashes[i], part, &produced[p], &rows_produced,
+               &key_cmps);
+      run[i] = static_cast<uint32_t>(produced[p].size() - before);
     }
   }
-  if (stats != nullptr) stats->rows_produced += rows_produced;
   // Candidate sets are hash-equal pairs, identical to the sequential
   // single-table chain.
   WUW_METRIC_ADD("engine.row.value_cmps", obs::MetricClass::kEngine,
                  key_cmps);
 
-  std::stable_sort(produced.begin(), produced.end(),
-                   [](const OutRow& a, const OutRow& b) {
-                     return a.probe_idx < b.probe_idx;
-                   });
   Rows out(Schema::Concat(left.schema, right.schema));
-  out.rows.reserve(produced.size());
-  for (OutRow& row : produced) {
-    out.rows.emplace_back(std::move(row.tuple), row.count);
+  size_t total = 0;
+  for (const auto& rows : produced) total += rows.size();
+  out.rows.reserve(total);
+  std::vector<size_t> cursor(nparts, 0);
+  for (size_t i = 0; i < run.size(); ++i) {
+    if (run[i] == 0) continue;
+    const size_t p = probe.PartitionOf(probe.hashes[i]);
+    auto first = produced[p].begin() + static_cast<ptrdiff_t>(cursor[p]);
+    out.rows.insert(out.rows.end(), std::make_move_iterator(first),
+                    std::make_move_iterator(first + run[i]));
+    cursor[p] += run[i];
   }
+  ChargeInputs(left, right, stats);
+  if (stats != nullptr) stats->rows_produced += rows_produced;
   return out;
 }
 
@@ -295,17 +233,15 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
     right_idx.push_back(right.schema.MustIndexOf(c));
   }
 
-  // WUW_MEM_MB: an oversized build side takes the grace-partition spill
-  // path.  Checked before the vectorized attempt so a paged run bounds its
+  // WUW_MEM_MB: an oversized build side takes the grace-partition path.
+  // Checked before the vectorized attempt so a paged run bounds its
   // operator memory wherever the build side is big; rows, row order, and
   // OperatorStats are bit-identical on every path (the vec and parallel
   // kernels already prove parity with the sequential layout this path
   // mirrors partition by partition).  Disarmed: one relaxed atomic load.
-  if (const paged::PagedOptions* spill_opts = paged::OperatorSpill();
-      spill_opts != nullptr && spill::ApproxRowsBytes(right) >
-                                   paged::ResolvedSpillBytes(*spill_opts)) {
-    return GraceHashJoin(left, right, left_idx, right_idx, stats,
-                         *spill_opts);
+  if (const std::optional<size_t> bits = GraceBits(right)) {
+    return GraceHashJoin(left, right, left_idx, right_idx, stats, *bits,
+                         pool, cancel);
   }
 
   if (vec::Enabled()) {

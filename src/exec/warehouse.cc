@@ -221,7 +221,15 @@ std::vector<std::string> Warehouse::AuxAuditViolations() const {
 }
 
 void Warehouse::EnablePaging(const paged::PagedOptions& options) {
-  if (paged_ == nullptr) {
+  if (paged_ == nullptr || !(paged_->options() == options)) {
+    if (paged_ != nullptr) {
+      // Re-arming with other options: fault every extent back in under the
+      // old pager before its images go with it.
+      catalog_.SetPager(paged_.get());
+      for (const std::string& name : catalog_.table_names()) {
+        catalog_.GetTable(name);
+      }
+    }
     paged_ = std::make_unique<paged::PagedStore>(options);
     for (const std::string& name : catalog_.table_names()) {
       paged_->Register(name);
@@ -465,7 +473,7 @@ Warehouse Warehouse::Clone() const {
   // (the entry set is identical: same VDAG, same creation order).  An
   // in-process-armed original propagates its arming to the clone, which is
   // what keeps kill/resume runs bit-identical to uninterrupted ones.
-  if (out.paged_ == nullptr && paged_ != nullptr) {
+  if (paged_ != nullptr) {
     out.EnablePaging(paged_->options());
   } else if (out.paged_ != nullptr) {
     out.catalog_.SetPager(out.paged_.get());

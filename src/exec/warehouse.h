@@ -114,11 +114,12 @@ class Warehouse {
 
   /// Arms beyond-RAM extent paging (storage/paged_store.h): creates the
   /// pager, attaches it to the catalog's accessor hooks, and registers
-  /// every extent in creation order.  Idempotent (later calls keep the
-  /// existing pager); also driven by the WUW_MEM_MB env knob at
-  /// construction.  Disarmed, paged_store() is null and every hook in the
-  /// engine is one pointer test — bit-identical behavior to a build
-  /// without this layer.
+  /// every extent in creation order.  A later call with the same options
+  /// keeps the pager; one with other options replaces it (faulting every
+  /// extent in first), so explicit arming overrides the WUW_MEM_MB env
+  /// knob that arms it at construction.  Disarmed, paged_store() is null
+  /// and every hook in the engine is one pointer test — bit-identical
+  /// behavior to a build without this layer.
   void EnablePaging(const paged::PagedOptions& options);
 
   /// The extent pager; nullptr while disarmed.

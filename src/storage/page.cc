@@ -195,7 +195,7 @@ std::unique_ptr<PageFile> PageFile::Create(const std::string& path,
     return nullptr;
   }
   return std::unique_ptr<PageFile>(
-      new PageFile(std::move(f), env, path, page_bytes, 0));
+      new PageFile(std::move(f), path, page_bytes, 0));
 }
 
 std::unique_ptr<PageFile> PageFile::Open(const std::string& path,
@@ -227,12 +227,7 @@ std::unique_ptr<PageFile> PageFile::Open(const std::string& path,
                       : static_cast<int64_t>((end - kFileHeaderBytes) /
                                              page_bytes);
   return std::unique_ptr<PageFile>(
-      new PageFile(std::move(f), env, path, page_bytes, pages));
-}
-
-PageFile::~PageFile() {
-  file_.reset();
-  if (remove_on_close_) env_->RemoveFile(path_);
+      new PageFile(std::move(f), path, page_bytes, pages));
 }
 
 std::string PageFile::WritePage(int64_t page_id, const std::string& payload) {
@@ -304,8 +299,6 @@ std::string PageFile::ReadPage(int64_t page_id, std::string* payload) {
   payload->assign(frame.data() + 8, len);
   return "";
 }
-
-std::string PageFile::Flush() { return file_->Flush(); }
 
 std::string PageFile::Sync() { return file_->Sync(); }
 

@@ -10,13 +10,9 @@
 // prefix of pages and report torn tails through error strings — never an
 // abort (user-facing input path, see CLAUDE.md conventions).
 //
-// Two consumers sit on top:
-//   * storage/paged_store.h spills whole extents as multi-page table
-//     images (SaveTableImage / LoadTableImage below) when the warehouse's
-//     resident set exceeds the WUW_MEM_MB budget;
-//   * storage/buffer_pool.h pins/evicts individual pages under a byte
-//     budget for the grace-partition spill paths in the join/aggregation
-//     kernels.
+// The consumer on top is storage/paged_store.h, which spills whole
+// extents as multi-page table images (SaveTableImage / LoadTableImage
+// below) when the warehouse's resident set exceeds the WUW_MEM_MB budget.
 //
 // All disk traffic funnels through PageFile::ReadPage / WritePage, which
 // carry the `paged.io.read` / `paged.io.write` fault sites — kill-anywhere
@@ -41,8 +37,8 @@ namespace paged {
 
 // ---------------------------------------------------------------------------
 // Byte codec.  Little-endian fixed-width primitives, length-prefixed
-// strings — the journal's wire idiom (exec/journal.cc), exported here so
-// page images and the kernels' spill records share one dialect.
+// strings — the journal's wire idiom (exec/journal.cc), exported here for
+// the page images.
 
 void PutU8(std::string* out, uint8_t v);
 void PutU32(std::string* out, uint32_t v);
@@ -132,8 +128,8 @@ int64_t ApproxTableBytes(const Table& table);
 // `paged.spilled_partitions` mirror them when metrics are armed.
 
 struct PagedStatsSnapshot {
-  int64_t faults = 0;              ///< extent fault-ins + pool disk reads
-  int64_t evictions = 0;           ///< extent hibernations + pool evictions
+  int64_t faults = 0;              ///< extent fault-ins
+  int64_t evictions = 0;           ///< extent hibernations
   int64_t spilled_partitions = 0;  ///< non-empty grace partitions
   int64_t read_retries = 0;        ///< transient-EIO retries in ReadPage
 };
@@ -153,9 +149,8 @@ extern std::atomic<int64_t> g_read_retries;
 /// Per-frame overhead: u32 payload length + u32 page number + u32 CRC32.
 inline constexpr size_t kPageFrameOverhead = 12;
 
-/// A fixed-size-page disk file (the DiskManager of the classic buffer-pool
-/// layering).  Not thread-safe: callers serialize access (the extent pager
-/// holds its own mutex; operator spills are single-threaded per operator).
+/// A fixed-size-page disk file.  Not thread-safe: callers serialize access
+/// (the extent pager holds its own mutex).
 /// All disk traffic goes through an io::Env positioned handle, so the
 /// WUW_IO_FAULT FaultEnv can inject EIO/ENOSPC/short writes underneath it.
 class PageFile {
@@ -174,10 +169,6 @@ class PageFile {
                                         std::string* error,
                                         io::Env* env = nullptr);
 
-  /// Closes the handle; removes the file first when remove-on-close is set
-  /// (spill temporaries).  Never throws — safe during unwinding.
-  ~PageFile();
-
   PageFile(const PageFile&) = delete;
   PageFile& operator=(const PageFile&) = delete;
 
@@ -185,7 +176,6 @@ class PageFile {
   /// Usable payload bytes per page.
   size_t payload_capacity() const { return page_bytes_ - kPageFrameOverhead; }
   int64_t num_pages() const { return num_pages_; }
-  const std::string& path() const { return path_; }
 
   /// Reserves the next page id.  No I/O: the frame exists on disk only
   /// after its first WritePage.
@@ -211,31 +201,22 @@ class PageFile {
   /// Bounded retry schedule for transient read errors.
   static constexpr int kReadAttempts = 3;
 
-  /// Flushes buffered writes (no fsync).  Returns "" on success.
-  std::string Flush();
-
   /// Flushes everything to stable storage (fsync) — the pre-rename step
   /// of SaveTableImage's crash discipline.  Returns "" on success.
   std::string Sync();
 
-  /// Spill temporaries set this so the file vanishes with the handle.
-  void set_remove_on_close(bool remove) { remove_on_close_ = remove; }
-
  private:
-  PageFile(std::unique_ptr<io::RandomRWFile> file, io::Env* env,
-           std::string path, size_t page_bytes, int64_t num_pages)
+  PageFile(std::unique_ptr<io::RandomRWFile> file, std::string path,
+           size_t page_bytes, int64_t num_pages)
       : file_(std::move(file)),
-        env_(env),
         path_(std::move(path)),
         page_bytes_(page_bytes),
         num_pages_(num_pages) {}
 
   std::unique_ptr<io::RandomRWFile> file_;
-  io::Env* env_;
-  std::string path_;
+  std::string path_;  ///< for error messages
   size_t page_bytes_;
   int64_t num_pages_;
-  bool remove_on_close_ = false;
 };
 
 // ---------------------------------------------------------------------------

@@ -21,12 +21,6 @@ int64_t ResolvedSpillBytes(const PagedOptions& options) {
   return std::max<int64_t>(1, options.budget_bytes / 4);
 }
 
-int64_t ResolvedPoolBytes(const PagedOptions& options) {
-  if (options.pool_bytes > 0) return options.pool_bytes;
-  return std::max<int64_t>(4 * static_cast<int64_t>(options.page_bytes),
-                           options.budget_bytes / 4);
-}
-
 std::string ParsePagedSpec(const std::string& spec, PagedOptions* out) {
   PagedOptions options;
   bool have_budget = false;
@@ -66,8 +60,6 @@ std::string ParsePagedSpec(const std::string& spec, PagedOptions* out) {
       options.partitions = static_cast<size_t>(n);
     } else if (key == "spill_bytes") {
       options.spill_bytes = n;
-    } else if (key == "pool_bytes") {
-      options.pool_bytes = n;
     } else {
       return "unknown clause '" + clause + "'";
     }

@@ -59,34 +59,32 @@ struct PagedOptions {
   /// Extent residency budget in bytes (required, > 0).  Extents beyond it
   /// hibernate to page images, least-recently-touched first.
   int64_t budget_bytes = 0;
-  /// On-disk page size for images and spill files.
+  /// On-disk page size of extent images.
   size_t page_bytes = 64 << 10;
-  /// Grace-spill fan-out (power of two in [1, 256]).
+  /// Grace-partition fan-out (power of two in [1, 256]).
   size_t partitions = 8;
-  /// Build-side size (analytic bytes) above which the join/aggregation
-  /// kernels take their grace-partition spill path; 0 derives budget/4.
+  /// Input size (analytic bytes) above which the join/aggregation kernels
+  /// take their grace-partition path (algebra/hash_partition.h): row ids
+  /// partition in memory and one partition's hash table is live at a
+  /// time.  0 derives budget/4.
   int64_t spill_bytes = 0;
-  /// Byte budget of each operator's private BufferPool; 0 derives
-  /// max(4 pages, budget/4).
-  int64_t pool_bytes = 0;
-  /// Spill directory; "" = the system temp directory.
+  /// Extent image directory; "" = the system temp directory.
   std::string dir;
+
+  bool operator==(const PagedOptions&) const = default;
 };
 
 /// Operator spill threshold with the budget/4 default applied.
 int64_t ResolvedSpillBytes(const PagedOptions& options);
-/// Operator pool budget with the max(4 pages, budget/4) default applied.
-int64_t ResolvedPoolBytes(const PagedOptions& options);
 
 /// Parses a WUW_MEM_MB spec.  Grammar (';'-separated clauses):
 ///   <N>               shorthand for mb=<N>
 ///   mb=<N>            extent residency budget, mebibytes
 ///   bytes=<N>         ... in bytes (test granularity)
 ///   page_bytes=<N>    on-disk page size (default 64 KiB)
-///   partitions=<N>    grace-spill fan-out, power of two (default 8)
-///   spill_bytes=<N>   operator spill threshold (default budget/4)
-///   pool_bytes=<N>    per-operator pool budget (default derived)
-///   dir=<path>        spill directory (default system temp)
+///   partitions=<N>    grace-partition fan-out, power of two (default 8)
+///   spill_bytes=<N>   operator grace threshold (default budget/4)
+///   dir=<path>        extent image directory (default system temp)
 /// Example: "512" or "bytes=65536;page_bytes=4096".  Returns "" on
 /// success, else a description of the error (user-facing input path: no
 /// aborts).

@@ -129,7 +129,6 @@ paged::PagedOptions TinyPagedOptions(const std::string& dir) {
   options.page_bytes = 512;
   options.partitions = 4;
   options.spill_bytes = 64;
-  options.pool_bytes = 1024;
   options.dir = dir + "/paged";
   return options;
 }

@@ -362,12 +362,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, FaultRecoveryPropertyTest,
 
 // The WUW_MEM_MB dimension: the same kill-anywhere sweep with the extent
 // pager armed at a tiny budget (everything evictable hibernates at every
-// touch) and the operator grace-spill paths forced on.  The count pass
-// then reaches the paged tier's `paged.io.read` / `paged.io.write` sites
-// alongside the engine's, so the sweep kills mid-image-write, mid-fault-in,
-// and mid-spill-flush — and every resume must still land bit-identically
-// on the resident recompute ground truth (clones inherit the arming, so
-// victim and restored warehouse page alike).
+// touch) and the operator grace paths forced on.  The count pass then
+// reaches the pager's `paged.io.read` / `paged.io.write` sites alongside
+// the engine's, so the sweep kills mid-image-write and mid-fault-in (the
+// grace paths partition in memory and do no I/O) — and every resume must
+// still land bit-identically on the resident recompute ground truth
+// (clones inherit the arming, so victim and restored warehouse page
+// alike).
 TEST(FaultRecoveryPropertyTest, PagedKillAtEveryPointConverges) {
   const uint64_t seed = testutil::PropertySeed(113);
   SCOPED_TRACE(testutil::SeedTrace(seed));
@@ -378,7 +379,6 @@ TEST(FaultRecoveryPropertyTest, PagedKillAtEveryPointConverges) {
   paged_options.page_bytes = 512;
   paged_options.partitions = 4;
   paged_options.spill_bytes = 64;
-  paged_options.pool_bytes = 1024;
   wb.warehouse.EnablePaging(paged_options);
   paged::ScopedOperatorSpill spill(paged_options);
 

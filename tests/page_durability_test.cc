@@ -50,6 +50,23 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
+/// Writes base extent `name` after the window committed, netting to no
+/// change.  Under snapshot reads (WUW_READERS) every committed extent is
+/// published, and a published slot is pinned resident; the write
+/// copy-on-write detaches this one, so it can hibernate in either mode.
+void WriteAfterCommit(Warehouse* w, const std::string& name) {
+  Table* table = w->base_table(name);
+  ASSERT_GT(table->cardinality(), 0);
+  Tuple first;
+  bool found = false;
+  table->ForEach([&](const Tuple& t, int64_t) {
+    if (!found) first = t;
+    found = true;
+  });
+  table->Add(first, 1);
+  table->Add(first, -1);
+}
+
 void ExpectImageMatches(const Table& table, const TableImage& img) {
   EXPECT_EQ(img.mutation_count, table.mutation_count());
   EXPECT_EQ(img.cardinality, table.cardinality());
@@ -243,8 +260,9 @@ TEST(PageDurabilityTest, TransientEioFaultInRetriesAndConverges) {
   options.page_bytes = kPage;
   w.EnablePaging(options);
   Executor(&w).Execute(strategy);
-  w.paged_store()->TestOnlyEvictAll(&w.catalog());
   const std::string victim = "V1";
+  WriteAfterCommit(&w, victim);
+  w.paged_store()->TestOnlyEvictAll(&w.catalog());
   ASSERT_TRUE(w.paged_store()->IsHibernated(victim));
 
   const int64_t retries_before = GlobalPagedStats().read_retries;
@@ -302,8 +320,9 @@ TEST(PageDurabilityTest, TornImageFaultInIsAnErrorAndRecoveryConverges) {
 
   // Hibernate everything, then tear every image's tail mid-frame (image
   // paths are internal, so damage the whole spill directory).
-  w.paged_store()->TestOnlyEvictAll(&w.catalog());
   const std::string victim = "V1";
+  WriteAfterCommit(&w, victim);
+  w.paged_store()->TestOnlyEvictAll(&w.catalog());
   ASSERT_TRUE(w.paged_store()->IsHibernated(victim));
   int images_torn = 0;
   for (const auto& entry :

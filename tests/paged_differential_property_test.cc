@@ -69,7 +69,7 @@ std::string PagedName(Paged p) {
 
 paged::PagedOptions MakePagedOptions(Paged p) {
   paged::PagedOptions options;
-  options.page_bytes = 512;  // small pages: images + spills span frames
+  options.page_bytes = 512;  // small pages: images span frames
   options.partitions = 4;
   switch (p) {
     case Paged::kNone:
@@ -77,7 +77,6 @@ paged::PagedOptions MakePagedOptions(Paged p) {
     case Paged::kTiny:
       options.budget_bytes = 1;   // hibernate everything evictable
       options.spill_bytes = 64;   // every non-trivial build spills
-      options.pool_bytes = 2 * 512;  // two-frame pools: churn hard
       break;
     case Paged::kMedium:
       options.budget_bytes = 4 << 10;  // partial working set resident
